@@ -12,10 +12,12 @@
 // F1  BenchmarkFigure1Acceptance the three executors on Figure 1
 // T1/T2 BenchmarkTheoremCheck    bounded exhaustive theorem checking
 // A1  BenchmarkAcceptanceRate    random-schedule acceptance sampling
+// S1  BenchmarkSkipMapMix        polymorphic TSkipMap mix (-cpu 1,2: scaling)
 package polytm_test
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -394,8 +396,9 @@ func BenchmarkScalabilityMixed(b *testing.B) {
 // registers at begin and unregisters at finish; with many concurrent
 // snapshot readers the pre-sharding registry serialized all of them on
 // one mutex and rescanned the whole active table on every finish —
-// O(live snapshots) work under a global lock. The sharded registry
-// splits both the lock and the rescan.
+// O(live snapshots) work under a global lock. The registry now claims a
+// lock-free slot per reader with one CAS, and only readers beyond the
+// slot count (par=16 here) take the sharded overflow maps.
 func BenchmarkSnapshotRegistryChurn(b *testing.B) {
 	for _, par := range []int{4, 16} {
 		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
@@ -494,6 +497,48 @@ func BenchmarkEngineReadWrite(b *testing.B) {
 				}
 				return nil
 			})
+		}
+	})
+}
+
+// S1: the polymorphic skip-map mix — 50% snapshot Get, 20% weak Range
+// (limit 16), 25% def Put or Delete, 5% irrevocable Put, uniform over
+// 1024 keys, half of them present at the start. It is the engine-only
+// half of the perfbench engine-contended workload; compare
+//
+//	go test -run '^$' -bench SkipMapMix -cpu 1,2 .
+//
+// across the -cpu settings to see whether a second worker adds
+// throughput.
+func BenchmarkSkipMapMix(b *testing.B) {
+	const keys = 1024
+	tm := core.New(core.Config{})
+	m := structures.NewTSkipMap(tm)
+	names := make([]string, keys)
+	for i := range names {
+		names[i] = fmt.Sprintf("k%05d", i)
+	}
+	for i := 0; i < keys; i += 2 {
+		m.Put(names[i], names[i], core.Def)
+	}
+	var seed atomic.Uint64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		r := rand.New(rand.NewPCG(seed.Add(1), 7))
+		for pb.Next() {
+			p, key := r.IntN(100), names[r.IntN(keys)]
+			switch {
+			case p < 50:
+				m.Get(key, core.Snapshot)
+			case p < 70:
+				m.Range(key, "", 16, core.Weak)
+			case p < 95 && p&1 == 0:
+				m.Put(key, key, core.Def)
+			case p < 95:
+				m.Delete(key, core.Def)
+			default:
+				m.Put(key, key, core.Irrevocable)
+			}
 		}
 	})
 }

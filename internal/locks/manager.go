@@ -42,7 +42,7 @@ type lockState struct {
 type Manager struct {
 	mu      sync.Mutex
 	locks   map[any]*lockState
-	waitFor map[uint64]uint64 // waiting owner -> owner it waits on
+	waitFor map[uint64]*lockState // waiting owner -> lock it waits on
 
 	acquired  uint64
 	contended uint64
@@ -53,7 +53,7 @@ type Manager struct {
 func NewManager() *Manager {
 	return &Manager{
 		locks:   make(map[any]*lockState),
-		waitFor: make(map[uint64]uint64),
+		waitFor: make(map[uint64]*lockState),
 	}
 }
 
@@ -89,22 +89,32 @@ func (m *Manager) Acquire(owner uint64, key any) error {
 			return nil
 		}
 		// Would block: check for a waits-for cycle holder -> ... -> owner.
-		if m.wouldDeadlock(owner, ls.holder) {
+		if m.wouldDeadlock(owner, ls) {
 			m.deadlocks++
 			return ErrDeadlock
 		}
 		m.contended++
-		m.waitFor[owner] = ls.holder
+		m.waitFor[owner] = ls
 		ls.cond.Wait()
 		delete(m.waitFor, owner)
 	}
 }
 
-// wouldDeadlock walks the waits-for chain from holder; each owner waits
-// on at most one other owner, so the graph is a union of chains.
-func (m *Manager) wouldDeadlock(requester, holder uint64) bool {
+// wouldDeadlock walks the waits-for chain from the holder of ls; each
+// owner waits on at most one lock, so the graph is a union of chains.
+// Edges name the lock waited on, not the owner that held it when the
+// waiter blocked: a Release can hand the lock to a different waiter (or
+// leave it free) before the blocked owner runs again, and an edge to
+// that first holder would be stale — missing real cycles and reporting
+// false ones. Reading each lock's current holder during the walk keeps
+// every edge exact; a free lock ends the chain.
+func (m *Manager) wouldDeadlock(requester uint64, ls *lockState) bool {
 	seen := 0
-	for cur := holder; ; {
+	for {
+		cur := ls.holder
+		if cur == 0 {
+			return false
+		}
 		if cur == requester {
 			return true
 		}
@@ -112,7 +122,7 @@ func (m *Manager) wouldDeadlock(requester, holder uint64) bool {
 		if !ok {
 			return false
 		}
-		cur = next
+		ls = next
 		if seen++; seen > len(m.waitFor)+1 {
 			return true // defensive: malformed graph treated as cycle
 		}

@@ -176,12 +176,14 @@ func (e *Engine) acquireTxn(sem Semantics, cm CMFactory) *Txn {
 }
 
 // releaseTxn scrubs a finished transaction and returns it to the pool.
-// A transaction that is somehow still active (a panicking body unwound
-// through the run loop) is dropped instead — pooling it would hand a
-// live read/write set to an unrelated Run.
+// An attempt that is still active here had its body panic through the
+// run loop: it is aborted while the panic unwinds, so its locks, its
+// snapshot registration and the irrevocability token are released and
+// its events are counted (see Stats). A shell whose first attempt never
+// began (the run was cancelled up front) has nothing to abort.
 func (e *Engine) releaseTxn(tx *Txn) {
-	if tx.status.Load() == statusActive {
-		return
+	if tx.attempt > 0 && tx.status.Load() == statusActive {
+		tx.abortCleanup()
 	}
 	tx.recycle()
 	e.txnPool.Put(tx)

@@ -13,6 +13,13 @@ import (
 // lines. The stripe count is a Config knob (Config.Shards); the default
 // is derived from GOMAXPROCS at engine construction.
 //
+// Two of them keep shared writes off the per-access path altogether.
+// Counters are tallied per attempt inside the Txn and reach a stripe
+// once, when the attempt ends (see Stats). The snapshot registry gives
+// each shard slotsPerShard lock-free slots, claimed by CAS, and keeps
+// the sharded mutex-guarded maps only as an overflow for when every
+// slot is taken (see snapshotRegistry).
+//
 // Two global atomics deliberately remain: the version clock (it defines
 // commit order — irreducible in a TL2-style engine, and only writing
 // commits tick it) and the transaction-id block source (one
@@ -31,6 +38,7 @@ const cacheLine = 64
 
 // maxShards caps the stripe count; beyond a few hundred stripes the
 // aggregation cost of Stats.Snapshot and snapshotRegistry.minActive
+// (which folds slotsPerShard slots plus one overflow minimum per shard)
 // grows with no remaining contention to remove.
 const maxShards = 256
 

@@ -2,8 +2,12 @@ package stm
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestSnapshotSeesStartState(t *testing.T) {
@@ -229,4 +233,140 @@ func TestSnapshotRegistryMin(t *testing.T) {
 		t.Fatalf("after t1 ends, minActive = %d, want %d", m, t2.ReadTimestamp())
 	}
 	t2.Commit()
+}
+
+// TestSnapshotRegistryOverflow holds more snapshot readers live at once
+// than the registry has lock-free slots, so the surplus registers
+// through the overflow maps, while writers keep rewriting pairs of
+// variables that must stay equal. Readers on both paths must see equal
+// pairs — including after the writers have moved on, which only the
+// version history retained for them can serve — no snapshot may abort,
+// and Quiesce must wait for the readers on both paths. Run with -race.
+func TestSnapshotRegistryOverflow(t *testing.T) {
+	e := NewEngine(Config{Shards: 2})
+	slots := len(e.snaps.slots)
+	readers := slots + 4
+	const pairs = 4
+	xs, ys := make([]*Var, pairs), make([]*Var, pairs)
+	for i := range xs {
+		xs[i], ys[i] = e.NewVar(0), e.NewVar(0)
+	}
+	checkPairs := func(tx *Txn) error {
+		for i := range xs {
+			x, err := tx.Read(xs[i])
+			if err != nil {
+				return err
+			}
+			y, err := tx.Read(ys[i])
+			if err != nil {
+				return err
+			}
+			if x != y {
+				return fmt.Errorf("pair %d torn: x=%v y=%v", i, x, y)
+			}
+		}
+		return nil
+	}
+
+	stop := make(chan struct{})
+	var writers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for n := w; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				i := n % pairs
+				if err := e.Run(SemanticsDef, func(tx *Txn) error {
+					x, err := tx.Read(xs[i])
+					if err != nil {
+						return err
+					}
+					if err := tx.Write(xs[i], x.(int)+1); err != nil {
+						return err
+					}
+					return tx.Write(ys[i], x.(int)+1)
+				}); err != nil {
+					t.Errorf("writer: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+
+	// Every reader parks inside its first snapshot until all of them
+	// are live, then re-reads after the writers have moved on.
+	var arrived, done sync.WaitGroup
+	arrived.Add(readers)
+	release := make(chan struct{})
+	var overflowed atomic.Int64
+	for r := 0; r < readers; r++ {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			first := true
+			for n := 0; n < 50; n++ {
+				if err := e.Run(SemanticsSnapshot, func(tx *Txn) error {
+					if err := checkPairs(tx); err != nil || !first {
+						return err
+					}
+					first = false
+					if tx.snapSlot < 0 {
+						overflowed.Add(1)
+					}
+					arrived.Done()
+					<-release
+					return checkPairs(tx)
+				}); err != nil {
+					t.Errorf("snapshot reader: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	arrived.Wait()
+	if got := e.snaps.activeCount(); got != readers {
+		t.Errorf("activeCount = %d with every reader parked, want %d", got, readers)
+	}
+	if got := overflowed.Load(); got != int64(readers-slots) {
+		t.Errorf("%d readers overflowed, want %d (%d readers, %d slots)", got, readers-slots, readers, slots)
+	}
+	for start := e.clock.Now(); e.clock.Now() < start+100; {
+		runtime.Gosched()
+	}
+	quiesced := make(chan struct{})
+	go func() {
+		e.Quiesce()
+		close(quiesced)
+	}()
+	time.Sleep(10 * time.Millisecond)
+	select {
+	case <-quiesced:
+		t.Fatal("Quiesce returned while snapshot readers were live")
+	default:
+	}
+	close(release)
+	done.Wait()
+	select {
+	case <-quiesced:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Quiesce did not return after every reader finished")
+	}
+	close(stop)
+	writers.Wait()
+
+	s := e.Stats()
+	if c := s.Sem(SemanticsSnapshot); c.Aborts != 0 || c.Commits != uint64(readers*50) {
+		t.Errorf("snapshot class: commits=%d aborts=%d, want %d and 0", c.Commits, c.Aborts, readers*50)
+	}
+	if s.SnapshotReads == 0 {
+		t.Error("no snapshot read was served from retained history")
+	}
+	if n := e.snaps.activeCount(); n != 0 {
+		t.Errorf("activeCount = %d after quiescence, want 0", n)
+	}
 }

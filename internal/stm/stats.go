@@ -5,9 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// statCounter names one engine event counter. Hot paths bump counters
-// through Stats.add with their transaction's stripe, so the enum is the
-// per-event half of the striped layout below.
+// statCounter names one engine event counter. Hot paths tally events
+// in their attempt's private attemptCounts, which finish flushes to one
+// stripe (Stats.flush), so the enum is the per-event half of both the
+// tally and the striped layout below.
 type statCounter uint8
 
 const (
@@ -59,13 +60,38 @@ type statsStripe struct {
 	_   [cacheLine - ((int(numStatCounters)+numSemClasses*int(numSemCounters))*8)%cacheLine]byte
 }
 
+// attemptCounts is one attempt's private tally: the events of a single
+// transaction attempt, counted with plain increments by the goroutine
+// that owns the attempt. The hot paths (every Read and Write) touch
+// only this, never shared memory; finish hands the tally to Stats.flush
+// exactly once per attempt.
+type attemptCounts struct {
+	c   [numStatCounters]uint64
+	sem [numSemCounters]uint64
+}
+
 // Stats holds the engine-wide event counters, striped across the
-// engine's shard count. Each increment lands on exactly one stripe, so
-// Snapshot — which sums every stripe — is exact for every individual
-// counter: striping relaxes only *where* an event is recorded, never
-// *whether* it is. (As before, counters are mutually consistent only
-// approximately: a snapshot taken mid-flight may see a start whose
-// commit it misses.)
+// engine's shard count. Counting is per attempt: a transaction attempt
+// tallies its events privately and, when it ends — commit, abort, kill,
+// cancellation or misuse error alike, since every one of those paths
+// goes through Txn.finish — adds each nonzero count to one stripe with
+// one atomic add. Each event therefore lands on exactly one stripe
+// exactly once, and Snapshot, which sums every stripe, is exact for
+// every counter at quiescence. While transactions are in flight it lags
+// by at most the running attempts: an attempt's events, its start
+// included, become visible together when it ends. (So mid-flight,
+// counters are only approximately consistent with each other.)
+//
+// Two edge cases are fixed by the run loop and the manual API:
+//
+//   - An attempt whose body panics inside a Run-family call is aborted
+//     by the run loop while the panic unwinds: it counts as one start
+//     and one abort under its semantics, plus the reads and writes it
+//     made, and releases its locks and registrations like any abort.
+//   - A Begin handle that is dropped without Commit or Abort never ends,
+//     so none of its events are ever counted.
+//
+// VarsAllocated is not per attempt: NewVar adds to a stripe directly.
 type Stats struct {
 	stripes []statsStripe
 	mask    uint32
@@ -82,10 +108,22 @@ func (s *Stats) add(stripe uint32, c statCounter) {
 	s.stripes[stripe&s.mask].c[c].Add(1)
 }
 
-// addSem bumps per-semantics counter c for semantics class p on the
-// given stripe.
-func (s *Stats) addSem(stripe uint32, p Semantics, c semCounter) {
-	s.stripes[stripe&s.mask].sem[p][c].Add(1)
+// flush adds an attempt's tally, attributed to semantics class p, to
+// the given stripe — one atomic add per nonzero counter — and zeroes
+// the tally for the next attempt.
+func (s *Stats) flush(stripe uint32, p Semantics, a *attemptCounts) {
+	st := &s.stripes[stripe&s.mask]
+	for c, n := range a.c {
+		if n != 0 {
+			st.c[c].Add(n)
+		}
+	}
+	for c, n := range a.sem {
+		if n != 0 {
+			st.sem[p][c].Add(n)
+		}
+	}
+	*a = attemptCounts{}
 }
 
 // sum aggregates counter c across every stripe.

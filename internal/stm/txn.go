@@ -85,8 +85,9 @@ type Txn struct {
 	// (see nextAttemptID).
 	idNext, idLimit uint64
 
-	// shard is the stripe this attempt's counter updates land on.
-	shard uint32
+	// counts is the current attempt's private event tally, flushed to
+	// one stats stripe by finish (see Stats).
+	counts attemptCounts
 
 	// rv is the read timestamp: all reads are consistent at rv.
 	rv uint64
@@ -138,6 +139,7 @@ type Txn struct {
 	attempt int
 
 	snapRegistered  bool
+	snapSlot        int // registry slot while snapRegistered; -1 = overflow
 	liveRegistered  bool
 	irrevocableHeld bool
 	encLocks        []encLock
@@ -287,13 +289,13 @@ func (tx *Txn) recycle() {
 	tx.unkillable.Store(false)
 }
 
-// stat bumps one engine counter on this attempt's stripe.
-func (tx *Txn) stat(c statCounter) { tx.eng.stats.add(tx.shard, c) }
+// stat counts one engine event in this attempt's private tally.
+func (tx *Txn) stat(c statCounter) { tx.counts.c[c]++ }
 
-// statSem bumps one per-semantics counter on this attempt's stripe,
-// attributed to the transaction's root parameter p (nested scopes do not
-// reattribute).
-func (tx *Txn) statSem(c semCounter) { tx.eng.stats.addSem(tx.shard, tx.sem, c) }
+// statSem counts one per-semantics event in this attempt's private
+// tally; finish attributes it to the transaction's root parameter p
+// (nested scopes do not reattribute).
+func (tx *Txn) statSem(c semCounter) { tx.counts.sem[c]++ }
 
 // begin (re)initializes the transaction for a new attempt. The
 // contention manager is built on the first attempt and reused for the
@@ -304,7 +306,6 @@ func (tx *Txn) begin() {
 	if tx.birth.Load() == 0 {
 		tx.birth.Store(tx.id)
 	}
-	tx.shard = stripeHint()
 	tx.attempt++
 	tx.status.Store(statusActive)
 	tx.unkillable.Store(tx.sem == SemanticsIrrevocable)
@@ -314,11 +315,11 @@ func (tx *Txn) begin() {
 	tx.encLocks = tx.encLocks[:0]
 	tx.modes.stack = tx.modes.stack[:0]
 	tx.elasticFloor = 0
+	tx.stat(statStarts)
+	tx.statSem(semStarts)
 	if tx.cm == nil {
 		tx.cm = tx.cmFac()
 	}
-	tx.stat(statStarts)
-	tx.statSem(semStarts)
 
 	switch tx.sem {
 	case SemanticsIrrevocable:
@@ -336,10 +337,10 @@ func (tx *Txn) begin() {
 		// <= the bound and everything newer — a superset of what
 		// resolving at rv needs. Either way no version this snapshot
 		// requires is ever trimmed. registerSampling performs the
-		// publish and both clock samples in one shard critical section
-		// (see its comment for why the post-store sample is
-		// load-bearing).
-		tx.rv = tx.eng.snaps.registerSampling(tx.id, &tx.eng.clock)
+		// publish — one slot CAS, or an overflow shard insert — between
+		// the two clock samples (see its comment for why the post-store
+		// sample is load-bearing).
+		tx.rv, tx.snapSlot = tx.eng.snaps.registerSampling(tx.id, &tx.eng.clock)
 		tx.snapRegistered = true
 	default:
 		tx.rv = tx.eng.clock.Now()
@@ -360,15 +361,19 @@ func (tx *Txn) registerLive() {
 	}
 }
 
-// finish tears down per-attempt registrations.
+// finish tears down per-attempt registrations and flushes the
+// attempt's event tally. Every path that ends an attempt — commit,
+// abort, kill, cancellation, misuse error — goes through here exactly
+// once, which is what makes the per-attempt counters exact.
 func (tx *Txn) finish(st uint32) {
 	tx.status.Store(st)
+	tx.eng.stats.flush(stripeHint(), tx.sem, &tx.counts)
 	if tx.liveRegistered {
 		tx.eng.live.delete(tx.id)
 		tx.liveRegistered = false
 	}
 	if tx.snapRegistered {
-		tx.eng.snaps.unregister(tx.id)
+		tx.eng.snaps.unregister(tx.id, tx.snapSlot)
 		tx.snapRegistered = false
 	}
 	if tx.irrevocableHeld {
@@ -605,20 +610,32 @@ func (tx *Txn) extend() bool {
 	return true
 }
 
-// validateReads checks every tracked read: the observed version must
-// still be the head and the variable must not be locked by another
-// transaction.
+// validateReads checks every tracked read (see readValid).
 func (tx *Txn) validateReads() bool {
 	for i := range tx.rset {
-		e := &tx.rset[i]
-		if e.v.head.Load() != e.ver {
-			return false
-		}
-		if owner, locked := e.v.lockedBy(); locked && owner != tx.id {
+		if !tx.readValid(&tx.rset[i]) {
 			return false
 		}
 	}
 	return true
+}
+
+// readValid reports whether read e still holds: its variable is not
+// locked by another transaction and the observed version is still the
+// head. The lock word must be loaded FIRST. Checking the head first
+// leaves a window in which a rival commit publishes a new head and
+// releases its lock between the two loads, so both checks pass on a
+// stale read and two transactions that read the same version both
+// commit (a lost update). In this order, a lock word seen unlocked
+// means any later publish must first lock the variable and then tick
+// the clock, so its timestamp exceeds every timestamp sampled before
+// this check (the extension's new rv, the committer's wv): such a
+// writer serializes after this transaction, and the read stays valid.
+func (tx *Txn) readValid(e *readEntry) bool {
+	if owner, locked := e.v.lockedBy(); locked && owner != tx.id {
+		return false
+	}
+	return e.v.head.Load() == e.ver
 }
 
 // Write buffers a transactional write of val to v.

@@ -158,6 +158,64 @@ func TestConcurrentIncrementsLoseNothing(t *testing.T) {
 	}
 }
 
+// TestNoLostAppendAcrossExtension stresses the scenario in which read
+// validation that loaded a variable's head before its lock word lost
+// updates (see readValid). Appenders read the tail, link a node behind
+// it, move the tail, and bump a counter whose fresh versions force
+// read-timestamp extensions that revalidate the tail read while rivals
+// publish it. Two appenders that both pass validation on one tail lose
+// a node, so the chain comes up one short of the counter. The race
+// window is a few instructions wide, so this is a stress test, not a
+// deterministic one: with the old order it failed about one round in a
+// hundred on a 2-core machine.
+func TestNoLostAppendAcrossExtension(t *testing.T) {
+	type node struct{ next *Var }
+	for round := 0; round < 50; round++ {
+		e := NewDefaultEngine()
+		sentinel := &node{next: e.NewVar((*node)(nil))}
+		tail, size := e.NewVar(sentinel), e.NewVar(0)
+		const workers, per = 4, 300
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					if err := e.Run(SemanticsDef, func(tx *Txn) error {
+						n := &node{next: e.NewVar((*node)(nil))}
+						last, err := tx.Read(tail)
+						if err != nil {
+							return err
+						}
+						if err := tx.Write(last.(*node).next, n); err != nil {
+							return err
+						}
+						if err := tx.Write(tail, n); err != nil {
+							return err
+						}
+						s, err := tx.Read(size)
+						if err != nil {
+							return err
+						}
+						return tx.Write(size, s.(int)+1)
+					}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		linked := 0
+		for n := sentinel.next.LoadDirect().(*node); n != nil; n = n.next.LoadDirect().(*node) {
+			linked++
+		}
+		if got := size.LoadDirect().(int); linked != got || got != workers*per {
+			t.Fatalf("round %d: %d nodes linked, counter %d, want %d of each", round, linked, got, workers*per)
+		}
+	}
+}
+
 // TestBankInvariant: transfers between accounts preserve the total — the
 // classic atomicity test. A checker transaction concurrently reads all
 // accounts and must always observe the same sum.

@@ -362,10 +362,20 @@ func (m *TSkipMap) Range(from, to string, limit int, sem core.Semantics) []KV {
 	return out
 }
 
+// rangePresizeMax caps how many result rows RangeCtx allocates up
+// front from its limit, so a huge limit over a short range does not
+// pre-allocate; past the cap the result grows as usual.
+const rangePresizeMax = 256
+
 // RangeCtx is Range bounded by ctx; cancellation surfaces as an error
-// matching stm.ErrCancelled with no pairs returned.
+// matching stm.ErrCancelled with no pairs returned. A bounded scan
+// allocates its result once, sized from limit (up to rangePresizeMax
+// rows), instead of growing it by doubling.
 func (m *TSkipMap) RangeCtx(ctx context.Context, from, to string, limit int, sem core.Semantics) ([]KV, error) {
 	var out []KV
+	if limit > 0 {
+		out = make([]KV, 0, min(limit, rangePresizeMax))
+	}
 	err := m.tm.AtomicAsCtx(ctx, sem, func(tx *core.Tx) error {
 		out = out[:0]
 		return m.RangeTx(tx, from, to, limit, func(k, v string) bool {
