@@ -13,6 +13,7 @@
 // T1/T2 BenchmarkTheoremCheck    bounded exhaustive theorem checking
 // A1  BenchmarkAcceptanceRate    random-schedule acceptance sampling
 // S1  BenchmarkSkipMapMix        polymorphic TSkipMap mix (-cpu 1,2: scaling)
+// S2  BenchmarkIrrevocableBulkPut  one irrevocable txn of n puts (flat ns/put: linear)
 package polytm_test
 
 import (
@@ -541,4 +542,40 @@ func BenchmarkSkipMapMix(b *testing.B) {
 			}
 		}
 	})
+}
+
+// S2: one irrevocable transaction doing n in-order puts into an empty
+// TSkipMap — the shape of a durable TXN batch or of a follower applying
+// one snapshot batch. Every put encounter-locks its search path, so the
+// transaction re-enters locks it already holds on almost every access;
+// a flat ns/put across the sizes shows the whole transaction costs
+// linear time in n.
+func BenchmarkIrrevocableBulkPut(b *testing.B) {
+	for _, n := range []int{256, 2048, 8192} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			names := make([]string, n)
+			for i := range names {
+				names[i] = fmt.Sprintf("k%07d", i)
+			}
+			tm := core.New(core.Config{})
+			var total time.Duration
+			for i := 0; i < b.N; i++ {
+				m := structures.NewTSkipMap(tm)
+				start := time.Now()
+				err := tm.Atomic(func(tx *core.Tx) error {
+					for _, k := range names {
+						if _, err := m.PutTx(tx, k, k); err != nil {
+							return err
+						}
+					}
+					return nil
+				}, core.WithSemantics(core.Irrevocable))
+				total += time.Since(start)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(total.Nanoseconds())/float64(b.N*n), "ns/put")
+		})
+	}
 }

@@ -243,19 +243,31 @@ func serveHub(t *testing.T, h *Hub, shards int) string {
 // serveHubFn is serveHub with a hub accessor, so a test can swap in a
 // fresh hub on the same address (simulating a feed drop without a
 // primary restart).
+//
+// The cleanup joins the accept loop and every ServeFeed it started.
+// Cleanups run after the test body's deferred hub Closes, which end
+// each feed, so a feed's final log line lands before the test returns.
 func serveHubFn(t *testing.T, getHub func() *Hub, shards int) string {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close()
+		wg.Wait()
+	})
+	wg.Add(1)
 	go func() {
+		defer wg.Done()
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
+			wg.Add(1)
 			go func() {
+				defer wg.Done()
 				defer conn.Close()
 				br := bufio.NewReader(conn)
 				bw := bufio.NewWriter(conn)

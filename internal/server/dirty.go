@@ -23,6 +23,13 @@ import (
 // would need a tombstone per previously-live key, which nobody tracks —
 // so it raises the flushed flag instead, forcing the next checkpoint to
 // be a full base. REBUILD leaves contents untouched and marks nothing.
+//
+// While the flag is up, marks are dropped: a full base (or, for the
+// reshard set, a full re-copy) covers every key, so a key list would be
+// ignored by every consumer. Dropping them keeps bulk loads that start
+// flushed — a follower's snapshot catch-up, which begins with a FLUSH,
+// and a fresh log's first load (see EnableDurability) — free of one map
+// insert per key. take lowers the flag and re-arms marking.
 type dirtySet struct {
 	mu      sync.Mutex
 	keys    map[string]struct{}
@@ -33,28 +40,32 @@ type dirtySet struct {
 // first insertion (the map lookup itself does not allocate).
 func (d *dirtySet) mark(key []byte) {
 	d.mu.Lock()
-	if d.keys == nil {
-		d.keys = make(map[string]struct{})
+	if !d.flushed {
+		if d.keys == nil {
+			d.keys = make(map[string]struct{})
+		}
+		d.keys[string(key)] = struct{}{}
 	}
-	d.keys[string(key)] = struct{}{}
 	d.mu.Unlock()
 }
 
 // markString is mark for keys already held as strings.
 func (d *dirtySet) markString(key string) {
 	d.mu.Lock()
-	if d.keys == nil {
-		d.keys = make(map[string]struct{})
+	if !d.flushed {
+		if d.keys == nil {
+			d.keys = make(map[string]struct{})
+		}
+		d.keys[key] = struct{}{}
 	}
-	d.keys[key] = struct{}{}
 	d.mu.Unlock()
 }
 
 // markFlush records a whole-keyspace clear: the next checkpoint must be
-// a full base.
+// a full base, so the keys marked so far are dropped with it.
 func (d *dirtySet) markFlush() {
 	d.mu.Lock()
-	d.flushed = true
+	d.keys, d.flushed = nil, true
 	d.mu.Unlock()
 }
 
@@ -67,12 +78,15 @@ func (d *dirtySet) markOps(ops []wal.Op) {
 	for _, op := range ops {
 		switch op.Kind {
 		case wal.OpSet, wal.OpDel:
+			if d.flushed {
+				continue
+			}
 			if d.keys == nil {
 				d.keys = make(map[string]struct{})
 			}
 			d.keys[op.Key] = struct{}{}
 		case wal.OpFlush:
-			d.flushed = true
+			d.keys, d.flushed = nil, true
 		}
 	}
 	d.mu.Unlock()
@@ -112,16 +126,19 @@ func (d *dirtySet) take() (keys map[string]struct{}, flushed bool) {
 }
 
 // restore merges a taken set back after a failed checkpoint write:
-// losing taken keys would carve them out of every future delta.
+// losing taken keys would carve them out of every future delta. A
+// restored (or meanwhile raised) flush flag wins and drops the keys, as
+// markFlush does.
 func (d *dirtySet) restore(keys map[string]struct{}, flushed bool) {
 	d.mu.Lock()
-	if d.keys == nil {
+	if d.flushed || flushed {
+		d.keys, d.flushed = nil, true
+	} else if d.keys == nil {
 		d.keys = keys
 	} else {
 		for k := range keys {
 			d.keys[k] = struct{}{}
 		}
 	}
-	d.flushed = d.flushed || flushed
 	d.mu.Unlock()
 }

@@ -523,7 +523,10 @@ func (s *Store) EnableDurability(d Durability) (*RecoverSummary, error) {
 	// the manifest rewrite); no COMMIT means the copy never finished —
 	// roll it back. Either way the manifest is rewritten before traffic.
 	sawReshard := false
-	for i := range results {
+	// An index loop, not a range: a committed MERGE removes the absorbed
+	// shard from results below, and the loop must neither run past the
+	// shortened slice nor skip the entry that slides into a removed slot.
+	for i := 0; i < len(results); i++ {
 		var begin *wal.ReshardEvent
 		committed := false
 		for k := range results[i].Reshards {
@@ -629,6 +632,9 @@ func (s *Store) EnableDurability(d Durability) (*RecoverSummary, error) {
 			slices = removeAt(slices, bPos)
 			logs = removeAt(logs, bPos)
 			results = removeAt(results, bPos)
+			if bPos <= i {
+				i--
+			}
 			man.Shards = removeAt(man.Shards, bPos)
 			aPos = man.posByID(r.Dst)
 			slices[aPos] = hashSlice{mod: r.Mod, res: r.Res}
@@ -727,8 +733,15 @@ func (s *Store) EnableDurability(d Durability) (*RecoverSummary, error) {
 	// log through the shard, so attaching it here routes every
 	// subsequent mutation's capture to the WAL — including captures
 	// pooled earlier by session traffic on the then-non-durable store.
+	//
+	// A log with no base checkpoint owes a full base at its first cut,
+	// so its shard starts flushed: the dirty set then skips the per-key
+	// marks of a first load or a follower's catch-up (see dirtySet).
 	for i, sh := range shards {
 		sh.wal = logs[i]
+		if logs[i].Chain().BaseSeg == 0 {
+			sh.dirty.markFlush()
+		}
 	}
 	// Publish the recovered table (its epoch may exceed tab0's if a
 	// journal rolled forward), then scrub reshard leftovers: a shard can

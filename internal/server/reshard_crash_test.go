@@ -17,8 +17,8 @@ import (
 )
 
 // Online-resharding crash windows: SIGKILL a durable store inside the
-// two windows of the split protocol and prove recovery restores the
-// exact acknowledged prefix in both.
+// two windows of the split protocol and the two of the merge protocol,
+// and prove recovery restores the exact acknowledged prefix in all four.
 //
 //   - "begin" window: the process dies the instant the RESHARD BEGIN
 //     record is durable — the new shard never went live and no routing
@@ -30,6 +30,11 @@ import (
 //     crash beat the MANIFEST rewrite. Recovery must roll the split
 //     forward: adopt the grown table from the journal, rewrite the
 //     manifest, and surface every acknowledged key.
+//   - "merge-begin" and "merge-commit": the same two records of a MERGE
+//     that folds the split's new shard back into its source. A BEGIN
+//     rolls back to the split table; a COMMIT rolls forward to the
+//     shrunk table, drops the absorbed shard's directory and heals the
+//     manifest.
 //
 // Like the 2PC gate, the kill is injected through the WAL's
 // OnDurableRecord hook — on the flusher goroutine, after the record is
@@ -43,11 +48,12 @@ const (
 )
 
 // reshardCrashChild seeds an acknowledged keyspace, arms the kill hook
-// on the journal record for its window, then starts a SPLIT — and dies
-// mid-protocol.
+// on the journal record for its window, then starts a SPLIT (or, for
+// the merge windows, completes a split and starts the MERGE undoing
+// it) — and dies mid-protocol.
 func reshardCrashChild(dir, mode string) {
 	target := byte(0x13) // RESHARD BEGIN
-	if mode == "commit" {
+	if strings.HasSuffix(mode, "commit") {
 		target = 0x14 // RESHARD COMMIT
 	}
 	var armed atomic.Bool
@@ -72,9 +78,20 @@ func reshardCrashChild(dir, mode string) {
 			os.Exit(1)
 		}
 	}
+	merge := strings.HasPrefix(mode, "merge-")
+	if merge {
+		if _, err := st.Split(context.Background(), 0, 0); err != nil {
+			fmt.Printf("CHILD-ERR split: %v\n", err)
+			os.Exit(1)
+		}
+	}
 	fmt.Println("SEEDED")
 	armed.Store(true)
-	st.Split(context.Background(), 0, 0)
+	if merge {
+		st.Merge(context.Background(), 1, 0, 2)
+	} else {
+		st.Split(context.Background(), 0, 0)
+	}
 	fmt.Println("CHILD-ERR survived the kill window")
 	os.Exit(1)
 }
@@ -86,7 +103,7 @@ func TestReshardCrashRecovery(t *testing.T) {
 	if dir := os.Getenv(reshardCrashDirEnv); dir != "" {
 		reshardCrashChild(dir, os.Getenv(reshardCrashModeEnv)) // never returns
 	}
-	for _, mode := range []string{"begin", "commit"} {
+	for _, mode := range []string{"begin", "commit", "merge-begin", "merge-commit"} {
 		t.Run(mode, func(t *testing.T) {
 			dir := t.TempDir()
 			cmd := exec.Command(os.Args[0], "-test.run=TestReshardCrashRecovery$", "-test.v")
@@ -98,17 +115,22 @@ func TestReshardCrashRecovery(t *testing.T) {
 				t.Fatalf("crash child (mode=%s):\n%s", mode, s)
 			}
 
-			// The crash in BOTH windows beat the MANIFEST rewrite, so the
-			// pinned count is still the pre-split one — recovery itself
-			// decides whether the table grows.
+			// The crash in every window beat the MANIFEST rewrite, so the
+			// pinned count is still the pre-reshard one (the split table
+			// for the merge windows) — recovery itself decides whether the
+			// table changes.
+			before, epoch := reshardCrashShards, uint64(0)
+			if strings.HasPrefix(mode, "merge-") {
+				before, epoch = reshardCrashShards+1, 1
+			}
 			pinned, err := WALShardCount(dir)
 			if err != nil {
 				t.Fatalf("WALShardCount: %v", err)
 			}
-			if pinned != reshardCrashShards {
-				t.Fatalf("pinned shard count = %d, want %d", pinned, reshardCrashShards)
+			if pinned != before {
+				t.Fatalf("pinned shard count = %d, want %d", pinned, before)
 			}
-			st := newSharded(reshardCrashShards)
+			st := newSharded(before)
 			res, err := st.EnableDurability(Durability{Dir: dir, Fsync: wal.ModeAlways, CheckpointEvery: -1})
 			if err != nil {
 				t.Fatalf("recovery: %v", err)
@@ -117,12 +139,12 @@ func TestReshardCrashRecovery(t *testing.T) {
 			t.Logf("recovery: %s", res)
 
 			switch mode {
-			case "begin":
-				// Rolled back: original table, no trace of the new shard.
-				if st.NumShards() != reshardCrashShards || st.RoutingEpoch() != 0 {
-					t.Fatalf("begin-window crash left shards=%d epoch=%d", st.NumShards(), st.RoutingEpoch())
+			case "begin", "merge-begin":
+				// Rolled back: the pre-reshard table.
+				if st.NumShards() != before || st.RoutingEpoch() != epoch {
+					t.Fatalf("%s-window crash left shards=%d epoch=%d", mode, st.NumShards(), st.RoutingEpoch())
 				}
-				if fileExists(filepath.Join(dir, "shard-0002")) {
+				if mode == "begin" && fileExists(filepath.Join(dir, "shard-0002")) {
 					t.Fatal("rolled-back split left the new shard's directory")
 				}
 			case "commit":
@@ -131,6 +153,18 @@ func TestReshardCrashRecovery(t *testing.T) {
 					t.Fatalf("commit-window crash recovered to shards=%d epoch=%d", st.NumShards(), st.RoutingEpoch())
 				}
 				if n, err := WALShardCount(dir); err != nil || n != reshardCrashShards+1 {
+					t.Fatalf("manifest not healed after roll-forward: n=%d err=%v", n, err)
+				}
+			case "merge-commit":
+				// Rolled forward: the split undone, the absorbed shard's
+				// directory gone, manifest healed.
+				if st.NumShards() != reshardCrashShards || st.RoutingEpoch() != 2 {
+					t.Fatalf("merge-commit-window crash recovered to shards=%d epoch=%d", st.NumShards(), st.RoutingEpoch())
+				}
+				if fileExists(filepath.Join(dir, "shard-0002")) {
+					t.Fatal("rolled-forward merge left the absorbed shard's directory")
+				}
+				if n, err := WALShardCount(dir); err != nil || n != reshardCrashShards {
 					t.Fatalf("manifest not healed after roll-forward: n=%d err=%v", n, err)
 				}
 			}

@@ -32,11 +32,18 @@ func (tx *Txn) readIrrevocable(v *Var) (any, error) {
 
 // encounterLock acquires and records an encounter-time lock on v,
 // spinning until any optimistic holder releases it.
+//
+// "Already mine" is read off v's lock word rather than searched for in
+// encLocks, which keeps re-entry O(1) and a transaction of n accesses
+// O(n) instead of O(n²). The test is exact: attempt ids are never
+// reused (see nextAttemptID), so a word carrying this attempt's id can
+// only have been written by this attempt, and nesting is flat, so every
+// scope of the transaction shares that id. A lock this attempt took is
+// held until commit or abort, when the id is retired. encLocks is
+// therefore only the list of locks to release.
 func (tx *Txn) encounterLock(v *Var) error {
-	for _, el := range tx.encLocks {
-		if el.v == v {
-			return nil
-		}
+	if v.lw.Load() == packOwner(tx.id) {
+		return nil
 	}
 	// About to take a lock: become resolvable as a lock owner first.
 	tx.registerLive()

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestIrrevocableCommitsFirstAttempt(t *testing.T) {
@@ -184,3 +185,139 @@ func TestIrrevocableUserErrorReleasesLocks(t *testing.T) {
 type errTest struct{}
 
 func (errTest) Error() string { return "test error" }
+
+// reenterIrrevocable reads and writes x n times from tx, every other
+// access from inside a nested scope, and checks after each access that
+// tx holds exactly one encounter lock — on x, stamped with its id.
+func reenterIrrevocable(t *testing.T, tx *Txn, x *Var, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		nested := i%2 == 1
+		if nested {
+			tx.PushMode(SemanticsDef)
+		}
+		v, err := tx.Read(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Write(x, v.(int)+1); err != nil {
+			t.Fatal(err)
+		}
+		if nested {
+			tx.PopMode()
+		}
+		if len(tx.encLocks) != 1 || tx.encLocks[0].v != x {
+			t.Fatalf("access %d: %d encounter locks, want exactly one on x", i, len(tx.encLocks))
+		}
+		if w := x.lw.Load(); w != packOwner(tx.id) {
+			t.Fatalf("access %d: lock word %#x, want owned by attempt %d", i, w, tx.id)
+		}
+	}
+}
+
+// TestIrrevocableReentryHoldsOneLock: re-entering a variable the
+// attempt already locked — 1000 times, from the top level and from a
+// nested scope — adds no encounter lock, and the one lock is released
+// however the attempt ends.
+func TestIrrevocableReentryHoldsOneLock(t *testing.T) {
+	const n = 1000
+	t.Run("commit", func(t *testing.T) {
+		e := NewDefaultEngine()
+		x := e.NewVar(0)
+		tx := e.Begin(SemanticsIrrevocable)
+		reenterIrrevocable(t, tx, x, n)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if _, locked := x.lockedBy(); locked {
+			t.Fatal("commit left x locked")
+		}
+		if got := x.LoadDirect().(int); got != n {
+			t.Fatalf("x = %d, want %d", got, n)
+		}
+	})
+	t.Run("abort", func(t *testing.T) {
+		e := NewDefaultEngine()
+		x := e.NewVar(0)
+		before := x.lw.Load()
+		tx := e.Begin(SemanticsIrrevocable)
+		reenterIrrevocable(t, tx, x, n)
+		tx.Abort()
+		if after := x.lw.Load(); after != before {
+			t.Fatalf("abort left lock word %#x, want the pre-lock %#x", after, before)
+		}
+		if got := x.LoadDirect().(int); got != 0 {
+			t.Fatalf("aborted writes leaked: x = %d", got)
+		}
+	})
+	t.Run("panic", func(t *testing.T) {
+		e := NewDefaultEngine()
+		x := e.NewVar(0)
+		before := x.lw.Load()
+		func() {
+			defer func() {
+				if r := recover(); r != "body panic" {
+					t.Fatalf("recovered %v, want the body's panic", r)
+				}
+			}()
+			e.Run(SemanticsIrrevocable, func(tx *Txn) error {
+				reenterIrrevocable(t, tx, x, n)
+				panic("body panic")
+			})
+		}()
+		if after := x.lw.Load(); after != before {
+			t.Fatalf("panic left lock word %#x, want the pre-lock %#x", after, before)
+		}
+		if got := x.LoadDirect().(int); got != 0 {
+			t.Fatalf("panicked writes leaked: x = %d", got)
+		}
+		// The token was freed with the lock.
+		if err := e.Run(SemanticsIrrevocable, func(tx *Txn) error { return tx.Write(x, 1) }); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestIrrevocableWaitsForForeignLock: the lock-word ownership test must
+// not mistake another attempt's lock for the irrevocable reader's own —
+// the reader waits until the holder releases.
+func TestIrrevocableWaitsForForeignLock(t *testing.T) {
+	e := NewDefaultEngine()
+	x := e.NewVar(7)
+	holder := e.Begin(SemanticsDef)
+	prev, ok := x.tryLock(holder.ID())
+	if !ok {
+		t.Fatal("could not lock x for the holder")
+	}
+	got := make(chan any, 1)
+	go func() {
+		var seen any
+		err := e.Run(SemanticsIrrevocable, func(tx *Txn) error {
+			v, err := tx.Read(x)
+			seen = v
+			return err
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		got <- seen
+	}()
+	select {
+	case v := <-got:
+		t.Fatalf("irrevocable read %v through a lock held by attempt %d", v, holder.ID())
+	case <-time.After(50 * time.Millisecond):
+	}
+	x.unlockTo(prev)
+	select {
+	case v := <-got:
+		if v != 7 {
+			t.Fatalf("read %v, want 7", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("irrevocable reader still waiting after the holder released")
+	}
+	holder.Abort()
+	if _, locked := x.lockedBy(); locked {
+		t.Fatal("x left locked")
+	}
+}
